@@ -5,8 +5,9 @@ Standalone (argparse, no pytest) so CI can run it as a smoke step::
     PYTHONPATH=src python benchmarks/bench_netlist_flow.py --guardrail
 
 Maps every circuit of the benchmark registry (53 Table-1 + 4 extra)
-through four mapper configurations and records wall-clock, dedup, and
-engine counters per mode:
+through four mapper configurations and records wall-clock, dedup,
+engine counters and the ``MappingStats`` phase split (enumerate,
+classify, bind) per mode:
 
 * ``percut`` — the historical baseline: one ``canonical_form`` per cut,
   a mapper-local class cache, and a full matcher call per cache hit.
@@ -24,6 +25,11 @@ library-characterization loop would run — so within-mode caches work
 for every mode alike.  Every produced cover must pass the mapped-vs-AIG
 ``verify()`` (outside the timed region).  The acceptance guardrail:
 ``batched_batch_warm`` total wall-clock beats ``percut``.
+
+Building the subject AIGs is timed on its own line (``subject_build``):
+generating each circuit, lowering it with ``to_netlist()`` and
+converting it with ``Aig.from_netlist``.  A real ``grm-match map`` pays
+the last two; no mode's total includes them.
 
 Results are written to ``BENCH_netlist_flow.json`` (override with
 ``--out``); ``--guardrail`` runs a 5-circuit subset and enforces the
@@ -55,11 +61,33 @@ def registry_names() -> list:
     return [spec.name for spec in TABLE1_CIRCUITS + EXTRA_CIRCUITS]
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on (not the machine's total)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
 def build_aigs(names):
+    """The subject AIGs, with the build time split by step."""
     aigs = {}
+    timing = {"generate_seconds": 0.0, "to_netlist_seconds": 0.0, "from_netlist_seconds": 0.0}
     for name in names:
-        aigs[name] = Aig.from_netlist(build_circuit(name).to_netlist())
-    return aigs
+        t0 = time.perf_counter()
+        circuit = build_circuit(name)
+        t1 = time.perf_counter()
+        netlist = circuit.to_netlist()
+        t2 = time.perf_counter()
+        aigs[name] = Aig.from_netlist(netlist)
+        t3 = time.perf_counter()
+        timing["generate_seconds"] += t1 - t0
+        timing["to_netlist_seconds"] += t2 - t1
+        timing["from_netlist_seconds"] += t3 - t2
+    timing["subject_build_seconds"] = (
+        timing["to_netlist_seconds"] + timing["from_netlist_seconds"]
+    )
+    return aigs, timing
 
 
 def run_mode(mode_name, mapper, aigs, verify):
@@ -78,6 +106,7 @@ def run_mode(mode_name, mapper, aigs, verify):
         "engine_store_hits": 0,
         "engine_membership_hits": 0,
     }
+    phases = {"enumerate_seconds": 0.0, "classify_seconds": 0.0, "bind_seconds": 0.0}
     results = {}
     for name, aig in aigs.items():
         t0 = time.perf_counter()
@@ -89,6 +118,8 @@ def run_mode(mode_name, mapper, aigs, verify):
         s = result.stats
         for key in agg:
             agg[key] += getattr(s, key)
+        for key in phases:
+            phases[key] += getattr(s, key)
         per_circuit[name] = {
             "seconds": elapsed,
             "and_nodes": aig.num_ands(),
@@ -115,14 +146,22 @@ def run_mode(mode_name, mapper, aigs, verify):
         "dedup_rate": dedup,
         "verified": verify,
         "aggregate": agg,
+        # percut interleaves the phases per cut and records no split.
+        "phases": phases if mapper.mode == "batched" else None,
         "per_circuit": per_circuit,
     }
     dedup_text = f"{dedup * 100.0:5.1f}%" if dedup is not None else "   n/a"
+    split_text = (
+        "  enumerate {enumerate_seconds:.2f}s classify {classify_seconds:.2f}s "
+        "bind {bind_seconds:.2f}s".format(**phases)
+        if summary["phases"]
+        else ""
+    )
     print(
         f"{mode_name:22s} {total:8.2f}s total  "
         f"{summary['circuits_per_second']:6.2f} circuits/s  "
         f"dedup {dedup_text}  "
-        f"store hits {agg['engine_store_hits']}"
+        f"store hits {agg['engine_store_hits']}{split_text}"
     )
     return summary, results
 
@@ -149,15 +188,22 @@ def main(argv=None) -> int:
     )
     verify = not args.no_verify
     print(f"building {len(names)} subject AIGs ...")
-    aigs = build_aigs(names)
+    aigs, build_timing = build_aigs(names)
+    print(
+        f"{'subject_build':22s} {build_timing['subject_build_seconds']:8.2f}s total  "
+        f"(to_netlist {build_timing['to_netlist_seconds']:.2f}s, "
+        f"from_netlist {build_timing['from_netlist_seconds']:.2f}s; "
+        f"generate {build_timing['generate_seconds']:.2f}s not included)"
+    )
 
     report = {
         "benchmark": "bench_netlist_flow",
         "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        "usable_cores": usable_cores(),
         "circuits": names,
         "cut_size": args.cut_size,
         "verify_max_inputs": VERIFY_MAX_INPUTS,
+        "subject_build": build_timing,
         "modes": {},
     }
 

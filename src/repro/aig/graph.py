@@ -145,8 +145,12 @@ class Aig:
         return self._fanins[node]
 
     def and_nodes(self) -> List[int]:
-        """All AND node ids in topological (creation) order."""
-        return sorted(self._fanins)
+        """All AND node ids in topological (creation) order.
+
+        Ids are handed out in increasing order and ``_fanins`` is filled
+        in that order, so its insertion order is already topological.
+        """
+        return list(self._fanins)
 
     def num_ands(self) -> int:
         return len(self._fanins)
@@ -221,6 +225,11 @@ class Aig:
         for cuts produced by :mod:`repro.aig.cuts`).  Evaluation uses an
         explicit stack, so whole-cone "cuts" of arbitrarily deep AIGs
         (the verifier's case) cannot hit the recursion limit.
+
+        This re-simulates the cone from scratch, so it is the reference
+        path — :meth:`MappingResult.verify`, :meth:`cone_function` and
+        the differential tests — not the mapper's: the mapper reads the
+        table each :class:`~repro.aig.cuts.Cut` carries from enumeration.
         """
         k = len(leaves)
         tables: Dict[int, TruthTable] = {FALSE: TruthTable.zero(k)}

@@ -336,7 +336,7 @@ class AigMapper:
                     for cut, key in catalog.node_cuts[node]
                 )
             else:
-                candidates = self._percut_candidates(aig, cuts[node], node, stats)
+                candidates = self._percut_candidates(cuts[node], node, stats)
             for cut, binding, function in candidates:
                 if binding is None:
                     continue
@@ -480,12 +480,12 @@ class AigMapper:
     # The percut baseline
     # ------------------------------------------------------------------
 
-    def _percut_candidates(self, aig: Aig, node_cuts: List[Cut], node: int, stats: MappingStats):
+    def _percut_candidates(self, node_cuts: List[Cut], node: int, stats: MappingStats):
         for cut in node_cuts:
             if cut.leaves == (node,):
                 continue  # trivial cut cannot implement the node
             stats.cuts_evaluated += 1
-            function = aig.cut_function(node, cut.leaves)
+            function = TruthTable(len(cut.leaves), cut.truth)
             yield cut, self._bind(function, stats), function
 
     def _bind(self, function: TruthTable, stats: MappingStats) -> Optional[Binding]:

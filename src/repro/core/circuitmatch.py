@@ -51,6 +51,12 @@ class CircuitMatchBudgetError(RuntimeError):
     """Raised when the verification search exceeds its node budget."""
 
 
+class CircuitMatchError(RuntimeError):
+    """The search built a correspondence that fails the independent
+    re-check: an internal fault, raised instead of returning a wrong
+    verdict (and, unlike an ``assert``, still raised under ``-O``)."""
+
+
 # ----------------------------------------------------------------------
 # Invariant keys
 # ----------------------------------------------------------------------
@@ -161,8 +167,9 @@ def match_circuits(
     """Find a global correspondence making ``impl`` implement ``spec``.
 
     Returns ``None`` when provably inequivalent; raises
-    :class:`CircuitMatchBudgetError` if the search budget runs out
-    (never a wrong verdict).
+    :class:`CircuitMatchBudgetError` if the search budget runs out and
+    :class:`CircuitMatchError` if the found correspondence fails its
+    re-verification (never a wrong verdict).
     """
     if spec.n_inputs != impl.n_inputs or spec.n_outputs != impl.n_outputs:
         return None
@@ -316,7 +323,11 @@ def match_circuits(
         input_mapping=tuple(in_map[a] for a in range(n_in)),
         input_phases=phases,
     )
-    assert verify_correspondence(spec, impl, result)
+    if not verify_correspondence(spec, impl, result):
+        raise CircuitMatchError(
+            f"correspondence found for {spec.name!r} vs {impl.name!r} "
+            f"fails re-verification: {result}"
+        )
     return result
 
 

@@ -72,6 +72,24 @@ def test_from_truthtable_roundtrip(rng):
         assert aig.literal_table(aig.outputs[0][1]) == f
 
 
+def _assert_and_nodes_topological(aig):
+    order = aig.and_nodes()
+    assert order == sorted(order)  # creation order is increasing ids
+    assert len(order) == aig.num_ands()
+    done = {FALSE} | set(range(1, aig.n_inputs + 1))
+    for node in order:
+        assert all(lit_var(f) in done for f in aig.fanins(node)), node
+        done.add(node)
+
+
+def test_and_nodes_topological_after_conversions(rng):
+    for name in ("rd73", "alu2", "cm150a"):
+        _assert_and_nodes_topological(Aig.from_netlist(build_circuit(name).to_netlist()))
+    for _ in range(10):
+        f = TruthTable.random(rng.randint(1, 6), rng)
+        _assert_and_nodes_topological(Aig.from_truthtable(f))
+
+
 def test_simulate_agrees_with_tables(rng):
     aig = Aig.from_netlist(_full_adder_netlist())
     name, literal = aig.outputs[0]

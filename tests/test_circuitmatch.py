@@ -122,3 +122,15 @@ def test_verify_rejects_wrong_correspondence(rng):
         input_phases=hidden.input_phases,
     )
     assert not verify_correspondence(spec, impl, wrong)
+
+
+def test_failed_reverification_raises_real_error(monkeypatch):
+    # The final re-check must survive ``python -O``: a correspondence
+    # that fails it raises, never comes back as a verdict.
+    from repro.core import circuitmatch as cm
+
+    spec = build_circuit("rd73")
+    monkeypatch.setattr(cm, "verify_correspondence", lambda *args: False)
+    with pytest.raises(cm.CircuitMatchError) as info:
+        match_circuits(spec, spec)
+    assert not isinstance(info.value, AssertionError)
