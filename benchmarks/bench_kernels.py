@@ -4,18 +4,18 @@ Standalone (argparse, no pytest) so CI can run it as a smoke step::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --guardrail
 
-Scenarios, each swept over n in {4..10} and batch sizes {16, 256, 4096}:
+Every batch kernel here is the slab pipeline of
+``repro.kernels.wordarray`` (one slab — the plain lane-packed batch — at
+small n, ``2**slab_h(n)`` slabs above).  One scenario per kernel, each
+swept over n in {4..10} and batch sizes {16, 256, 4096}:
 
 * ``prekey`` — the engine's coarse pre-key plus the full cofactor-weight
   vector for every function in the batch.  The scalar side is what the
   engine pays without the kernel (per-function ``coarse_prekey`` at
   bucketing time, cofactor weights rederived in the polarity search);
   the batch side is ``batch_prekeys``, which yields both from one shared
-  butterfly.  This is the path the classifier hits on every bucketing
+  weight pass.  This is the path the classifier hits on every bucketing
   pass, and the acceptance target is >= 3x at n = 8, B = 256.
-* ``weights`` — per-function Hamming weights under both batch strategies
-  (``reduce``: packed butterfly; ``extract``: per-lane ``bit_count``)
-  against the scalar loop, to keep ``AUTO_REDUCE_MAX_N`` honest.
 * ``fprm`` — fixed-polarity Reed-Muller coefficient vectors for the
   whole batch vs a ``fprm_coefficients`` loop (cache cleared per trial:
   the scalar loop is memoised, the kernel is not, and the benchmark
@@ -23,39 +23,30 @@ Scenarios, each swept over n in {4..10} and batch sizes {16, 256, 4096}:
 * ``walsh`` — the packed bias-encoded Walsh butterfly vs the Python-list
   reference, one spectrum per function (B is the function count).
 
-Above the flat sweep, the *word-array* cells (n in {12, 14, 16}) bench
-the slab layout of ``repro.kernels.wordarray`` — the flat lane kernels
-lose to scalar up there, so these cells compare slabs against the
-scalar references directly:
+The large cells (n in {12, 14, 16}) run the same ``prekey`` and
+``fprm`` scenarios plus:
 
-* ``prekey_words`` — coarse pre-keys *plus* the full cofactor-weight
-  vectors through the slab pipeline (the engine's bucketing payload);
-  the acceptance target is >= 2x over scalar at every large cell.
-* ``weights_words`` — the cofactor-weight vectors alone, against the
+* ``cofactor_weights`` — the cofactor-weight vectors alone, against the
   raw masked-popcount loop of ``TruthTable.cofactor_weights``.  That
-  scalar side is pure C big-int work, so the slab margin here is thin
+  scalar side is pure C big-int work, so the margin here is thin
   (~1..2x, batch-dependent) and only gated at parity; the >= 2x weight
-  acceptance is carried by ``prekey_words``, which contains the same
-  vectors.
-* ``fprm_words`` — one cold FPRM transform of the whole batch.  Honest
-  numbers: the scalar transform is memo-table-free C-bound big-int
-  work, so the slab margin decays toward ~1.2x by n = 16.
+  acceptance is carried by ``prekey``, which contains the same vectors.
 * ``fprm_ladder`` — the paper's polarity-sweep workload (GRM weight
   vectors across a gray-code ladder of polarities).  The slab layout
   transforms once and applies each polarity toggle incrementally, which
   is where the >= 2x FPRM margin lives at n = 14..16.
-* ``walsh`` — large-n tier check of the packed Walsh butterfly (32-bit
-  fields at n = 15..16).
 
 Scalar and batch sides of every cell run inside the *same* invocation so
 machine noise cancels out of the ratio; each side is best-of ``--trials``.
-Results go to ``BENCH_kernels.json`` (override with ``--out``).
+Results go to ``BENCH_kernels.json`` (override with ``--out``), with the
+slab counts used per n, the usable core count and the git revision and
+dirty flag.
 
 ``--guardrail`` runs only the acceptance cell (prekey, n = 8, B = 256)
-plus the word-array cell (n = 14) — each asserts the batch results are
-bit-identical to scalar — and exits non-zero if either kernel is slower
-than scalar: a cheap CI tripwire, deliberately far below the 3x/2x
-targets because shared CI boxes are noisy.
+plus one large cell (prekey, n = 14, B = 64) — each asserts the batch
+results are bit-identical to scalar — and exits non-zero if either
+kernel is slower than scalar: a cheap CI tripwire, deliberately far
+below the 3x/2x targets because shared CI boxes are noisy.
 """
 
 from __future__ import annotations
@@ -65,6 +56,7 @@ import json
 import os
 import platform
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -77,19 +69,19 @@ from repro.grm.transform import fprm_coefficients
 from repro.kernels import wordarray
 from repro.utils import bitops
 
+ROOT = Path(__file__).resolve().parents[1]
 N_SWEEP = (4, 5, 6, 7, 8, 9, 10)
 B_SWEEP = (16, 256, 4096)
 ACCEPT_N = 8
 ACCEPT_B = 256
 ACCEPT_SPEEDUP = 3.0
 
-# Word-array (slab) cells: n >= SLAB_MIN_N where the flat lane layout
-# loses to scalar and the slab layout must carry the batch margin.
 LARGE_CELLS = ((12, 256), (14, 256), (16, 64))
-WORDS_ACCEPT_SPEEDUP = 2.0
-WORDS_GUARD_N = 14
-WORDS_GUARD_B = 64
+LARGE_ACCEPT_SPEEDUP = 2.0
+LARGE_GUARD_N = 14
+LARGE_GUARD_B = 64
 LARGE_WALSH_B = 8
+FPRM_POLARITY = 0b0101_0101_0101_0101
 
 
 def make_batch(n: int, count: int, rng: random.Random):
@@ -107,47 +99,50 @@ def best_of(trials: int, fn, *args):
     return best
 
 
+def cell(t_scalar: float, t_batch: float) -> dict:
+    return {
+        "scalar_seconds": t_scalar,
+        "batch_seconds": t_batch,
+        "speedup": t_scalar / t_batch,
+    }
+
+
+def scalar_weights(bl, n):
+    """The raw masked-popcount loop of ``TruthTable.cofactor_weights``."""
+    masks = bitops.axis_masks(n)
+    return [
+        tuple(
+            ((b & m).bit_count(), ((b >> (1 << i)) & m).bit_count())
+            for i, m in enumerate(masks)
+        )
+        for b in bl
+    ]
+
+
 def scalar_prekeys_reference(bl, n):
     """What the engine pays per function without the kernel: the scalar
     ``coarse_prekey`` at bucketing time plus the cofactor-weight vector
     the polarity search derives later from the same table."""
-    masks = bitops.axis_masks(n)
-    keys = []
-    weights = []
-    for b in bl:
-        keys.append(coarse_prekey(TruthTable(n, b)))
-        weights.append(
-            tuple(
-                ((b & m).bit_count(), ((b >> (1 << i)) & m).bit_count())
-                for i, m in enumerate(masks)
-            )
-        )
-    return keys, weights
+    keys = [coarse_prekey(TruthTable(n, b)) for b in bl]
+    return keys, scalar_weights(bl, n)
 
 
 def bench_prekey(bl, n, trials):
     t_s, scalar = best_of(trials, scalar_prekeys_reference, bl, n)
     t_b, batch = best_of(trials, kernels.batch_prekeys, bl, n)
     assert batch == scalar, f"prekey mismatch at n={n}"
-    return {"scalar_seconds": t_s, "batch_seconds": t_b, "speedup": t_s / t_b}
+    return cell(t_s, t_b)
 
 
-def bench_weights(bl, n, trials):
-    t_s, scalar = best_of(trials, lambda: [b.bit_count() for b in bl])
-    t_r, reduced = best_of(trials, kernels.batch_weights, bl, n, "reduce")
-    t_e, extracted = best_of(trials, kernels.batch_weights, bl, n, "extract")
-    assert reduced == scalar and extracted == scalar
-    return {
-        "scalar_seconds": t_s,
-        "reduce_seconds": t_r,
-        "extract_seconds": t_e,
-        "best_strategy": "reduce" if t_r <= t_e else "extract",
-        "auto_strategy": "reduce" if n <= kernels.AUTO_REDUCE_MAX_N else "extract",
-    }
+def bench_cofactor_weights(bl, n, trials):
+    t_s, expected = best_of(trials, scalar_weights, bl, n)
+    t_b, batch = best_of(trials, kernels.batch_cofactor_weights, bl, n)
+    assert batch == expected, f"cofactor-weight mismatch at n={n}"
+    return cell(t_s, t_b)
 
 
 def bench_fprm(bl, n, trials):
-    polarity = 0b0101_0101_01 & ((1 << n) - 1)
+    polarity = FPRM_POLARITY & ((1 << n) - 1)
 
     def scalar():
         fprm_coefficients.cache_clear()
@@ -156,45 +151,7 @@ def bench_fprm(bl, n, trials):
     t_s, expected = best_of(trials, scalar)
     t_b, batch = best_of(trials, kernels.batch_fprm, bl, n, polarity)
     assert batch == expected, f"fprm mismatch at n={n}"
-    return {"scalar_seconds": t_s, "batch_seconds": t_b, "speedup": t_s / t_b}
-
-
-def bench_words_prekey(bl, n, trials):
-    t_s, scalar = best_of(trials, scalar_prekeys_reference, bl, n)
-    t_b, batch = best_of(trials, wordarray.batch_prekeys, bl, n)
-    assert batch == scalar, f"word-array prekey mismatch at n={n}"
-    return {"scalar_seconds": t_s, "words_seconds": t_b, "speedup": t_s / t_b}
-
-
-def bench_words_weights(bl, n, trials):
-    masks = bitops.axis_masks(n)
-
-    def scalar():
-        return [
-            tuple(
-                ((b & m).bit_count(), ((b >> (1 << i)) & m).bit_count())
-                for i, m in enumerate(masks)
-            )
-            for b in bl
-        ]
-
-    t_s, expected = best_of(trials, scalar)
-    t_b, batch = best_of(trials, wordarray.batch_cofactor_weights, bl, n)
-    assert batch == expected, f"word-array cofactor-weight mismatch at n={n}"
-    return {"scalar_seconds": t_s, "words_seconds": t_b, "speedup": t_s / t_b}
-
-
-def bench_words_fprm(bl, n, trials):
-    polarity = 0b0101_0101_0101_0101 & ((1 << n) - 1)
-
-    def scalar():
-        fprm_coefficients.cache_clear()
-        return [fprm_coefficients(b, n, polarity) for b in bl]
-
-    t_s, expected = best_of(trials, scalar)
-    t_b, batch = best_of(trials, wordarray.batch_fprm, bl, n, polarity)
-    assert batch == expected, f"word-array fprm mismatch at n={n}"
-    return {"scalar_seconds": t_s, "words_seconds": t_b, "speedup": t_s / t_b}
+    return cell(t_s, t_b)
 
 
 def ladder_polarities(n: int):
@@ -219,14 +176,9 @@ def bench_fprm_ladder(bl, n, trials):
         ]
 
     t_s, expected = best_of(trials, scalar)
-    t_b, batch = best_of(trials, wordarray.fprm_ladder_weights, bl, n, pols)
+    t_b, batch = best_of(trials, kernels.fprm_ladder_weights, bl, n, pols)
     assert batch == expected, f"fprm ladder mismatch at n={n}"
-    return {
-        "polarities": len(pols),
-        "scalar_seconds": t_s,
-        "words_seconds": t_b,
-        "speedup": t_s / t_b,
-    }
+    return {"polarities": len(pols), **cell(t_s, t_b)}
 
 
 def bench_walsh(bl, n, trials):
@@ -250,75 +202,78 @@ def run_sweep(trials: int, seed: int, quick: bool):
     for n in ns:
         for count in bs:
             bl = make_batch(n, count, rng)
-            cell = {
+            row = {
                 "prekey": bench_prekey(bl, n, trials),
-                "weights": bench_weights(bl, n, trials),
                 "fprm": bench_fprm(bl, n, trials),
             }
-            if count <= 256 and n <= 10:
-                cell["walsh"] = bench_walsh(bl, n, trials)
-            cells[f"n={n},B={count}"] = cell
+            if count <= 256:
+                row["walsh"] = bench_walsh(bl, n, trials)
+            cells[f"n={n},B={count}"] = row
             print(
-                f"n={n:2d} B={count:4d}  prekey {cell['prekey']['speedup']:5.2f}x  "
-                f"fprm {cell['fprm']['speedup']:5.2f}x  "
-                f"weights best={cell['weights']['best_strategy']}"
-                + (
-                    f"  walsh {cell['walsh']['speedup']:5.2f}x"
-                    if "walsh" in cell
-                    else ""
-                )
+                f"n={n:2d} B={count:4d}  prekey {row['prekey']['speedup']:5.2f}x  "
+                f"fprm {row['fprm']['speedup']:5.2f}x"
+                + (f"  walsh {row['walsh']['speedup']:5.2f}x" if "walsh" in row else "")
             )
     if not quick:
         for n, count in LARGE_CELLS:
             bl = make_batch(n, count, rng)
-            cell = {
-                "prekey_words": bench_words_prekey(bl, n, trials),
-                "weights_words": bench_words_weights(bl, n, trials),
-                "fprm_words": bench_words_fprm(bl, n, trials),
+            row = {
+                "prekey": bench_prekey(bl, n, trials),
+                "cofactor_weights": bench_cofactor_weights(bl, n, trials),
+                "fprm": bench_fprm(bl, n, trials),
                 "fprm_ladder": bench_fprm_ladder(bl, n, trials),
                 "walsh": bench_walsh(bl[:LARGE_WALSH_B], n, trials),
             }
-            cells[f"n={n},B={count}"] = cell
+            cells[f"n={n},B={count}"] = row
             print(
-                f"n={n:2d} B={count:4d}  prekey {cell['prekey_words']['speedup']:5.2f}x  "
-                f"weights {cell['weights_words']['speedup']:5.2f}x  "
-                f"fprm {cell['fprm_words']['speedup']:5.2f}x  "
-                f"ladder {cell['fprm_ladder']['speedup']:5.2f}x  "
-                f"walsh {cell['walsh']['speedup']:5.2f}x  [words]"
+                f"n={n:2d} B={count:4d}  prekey {row['prekey']['speedup']:5.2f}x  "
+                f"weights {row['cofactor_weights']['speedup']:5.2f}x  "
+                f"fprm {row['fprm']['speedup']:5.2f}x  "
+                f"ladder {row['fprm_ladder']['speedup']:5.2f}x  "
+                f"walsh {row['walsh']['speedup']:5.2f}x"
             )
     return cells
 
 
 def run_guardrail(trials: int, seed: int) -> int:
     rng = random.Random(seed)
-    bl = make_batch(ACCEPT_N, ACCEPT_B, rng)
-    cell = bench_prekey(bl, ACCEPT_N, trials)
-    print(
-        f"guardrail prekey n={ACCEPT_N} B={ACCEPT_B}: "
-        f"scalar {cell['scalar_seconds'] * 1e3:.2f}ms "
-        f"batch {cell['batch_seconds'] * 1e3:.2f}ms "
-        f"speedup {cell['speedup']:.2f}x"
-    )
-    if cell["speedup"] < 1.0:
-        print("GUARDRAIL FAILED: batch prekey slower than scalar", file=sys.stderr)
-        return 1
-    # Word-array cell: bench_words_prekey asserts bit-identical keys and
-    # weight vectors against the scalar reference before timing.
-    wbl = make_batch(WORDS_GUARD_N, WORDS_GUARD_B, rng)
-    wcell = bench_words_prekey(wbl, WORDS_GUARD_N, min(trials, 3))
-    print(
-        f"guardrail prekey_words n={WORDS_GUARD_N} B={WORDS_GUARD_B}: "
-        f"scalar {wcell['scalar_seconds'] * 1e3:.2f}ms "
-        f"words {wcell['words_seconds'] * 1e3:.2f}ms "
-        f"speedup {wcell['speedup']:.2f}x"
-    )
-    if wcell["speedup"] < 1.0:
+    # Small cell at full trials, the large one at a few: bench_prekey
+    # asserts bit-identical keys and weight vectors before timing.
+    for n, count, t in (
+        (ACCEPT_N, ACCEPT_B, trials),
+        (LARGE_GUARD_N, LARGE_GUARD_B, min(trials, 3)),
+    ):
+        row = bench_prekey(make_batch(n, count, rng), n, t)
         print(
-            "GUARDRAIL FAILED: word-array prekey slower than scalar",
-            file=sys.stderr,
+            f"guardrail prekey n={n} B={count} (slab_h={wordarray.slab_h(n)}): "
+            f"scalar {row['scalar_seconds'] * 1e3:.2f}ms "
+            f"batch {row['batch_seconds'] * 1e3:.2f}ms "
+            f"speedup {row['speedup']:.2f}x"
         )
-        return 1
+        if row["speedup"] < 1.0:
+            print(
+                f"GUARDRAIL FAILED: batch prekey slower than scalar at n={n}",
+                file=sys.stderr,
+            )
+            return 1
     return 0
+
+
+def git_state():
+    """``(revision, dirty)`` of the checkout, ``(None, None)`` outside git."""
+
+    def git(*args):
+        try:
+            out = subprocess.run(
+                ["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=30
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    revision = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no") if revision else None
+    return revision, (bool(status) if status is not None else None)
 
 
 def main(argv=None) -> int:
@@ -331,7 +286,7 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--guardrail",
         action="store_true",
-        help="CI mode: acceptance cell only, fail if batch is slower than scalar",
+        help="CI mode: guardrail cells only, fail if batch is slower than scalar",
     )
     ap.add_argument("--out", default=None, help="JSON output path")
     args = ap.parse_args(argv)
@@ -340,24 +295,28 @@ def main(argv=None) -> int:
         return run_guardrail(max(args.trials, 5), args.seed)
 
     cells = run_sweep(args.trials, args.seed, args.quick)
+    n_sweep = list(N_SWEEP if not args.quick else (4, 8))
+    large = [list(c) for c in LARGE_CELLS] if not args.quick else []
+    all_n = n_sweep + [n for n, _ in large]
+    revision, dirty = git_state()
     report = {
         "benchmark": "bench_kernels",
         "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        "usable_cores": len(os.sched_getaffinity(0)),
+        "git_revision": revision,
+        "git_dirty": dirty,
         "seed": args.seed,
         "trials": args.trials,
-        "n_sweep": list(N_SWEEP if not args.quick else (4, 8)),
+        "n_sweep": n_sweep,
         "batch_sweep": list(B_SWEEP if not args.quick else (256,)),
-        "auto_reduce_max_n": kernels.AUTO_REDUCE_MAX_N,
         "kernel_min_batch": kernels.KERNEL_MIN_BATCH,
-        "slab_min_n": wordarray.SLAB_MIN_N,
-        "large_cells": [list(cell) for cell in LARGE_CELLS]
-        if not args.quick
-        else [],
+        "slab_h": {str(n): wordarray.slab_h(n) for n in all_n},
+        "transform_slab_h": {str(n): wordarray.transform_slab_h(n) for n in all_n},
+        "large_cells": large,
         "cells": cells,
     }
 
-    out = Path(args.out) if args.out else Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
+    out = Path(args.out) if args.out else ROOT / "BENCH_kernels.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
 
@@ -372,13 +331,13 @@ def main(argv=None) -> int:
         rc = 1
     if not args.quick:
         for n, count in LARGE_CELLS:
-            cell = cells[f"n={n},B={count}"]
+            row = cells[f"n={n},B={count}"]
             for scenario, floor in (
-                ("prekey_words", WORDS_ACCEPT_SPEEDUP),
-                ("fprm_ladder", WORDS_ACCEPT_SPEEDUP),
-                ("weights_words", 1.0),
+                ("prekey", LARGE_ACCEPT_SPEEDUP),
+                ("fprm_ladder", LARGE_ACCEPT_SPEEDUP),
+                ("cofactor_weights", 1.0),
             ):
-                if cell[scenario]["speedup"] < floor:
+                if row[scenario]["speedup"] < floor:
                     print(
                         f"WARNING: {scenario} speedup at n={n}, B={count} "
                         f"below {floor}x",

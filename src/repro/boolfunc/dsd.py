@@ -19,9 +19,9 @@ merging discovers every binary-composable layer and leaves exactly the
 prime blocks flat.
 
 DSD is also the library's *escape hatch for large-support functions*:
-the packed kernels (flat lanes up to ``n = 10``, the word-array slabs
-of :mod:`repro.kernels.wordarray` up to ``n = 16``) operate on whole
-``2**n``-bit tables and stop being practical well before
+the packed kernels (the word-array slabs of
+:mod:`repro.kernels.wordarray`, benchmarked up to ``n = 16``) operate
+on whole ``2**n``-bit tables and stop being practical well before
 ``MAX_VARS = 24``.  A wide function that decomposes, however, is
 matched block-by-block — each internal node's local function lives on
 only its children, so the widest table anyone must materialize is the

@@ -12,9 +12,9 @@ corpus JSON, the wire protocol's hex bits) and hashing all read it — but
 large tables can additionally be *viewed* as a 64-bit word array
 (:meth:`words` / :meth:`from_words`, layout in
 :mod:`repro.utils.words`).  The view is the same byte image, so the two
-convert without bit shuffling; the batch kernels pick between the flat
-bigint layout and the word/slab layout per width
-(:func:`repro.kernels.choose_layout`).
+convert without bit shuffling; the batch kernels transpose batches into
+word slabs (:mod:`repro.kernels.wordarray`), one slab being the plain
+lane-packed batch at small widths.
 """
 
 from __future__ import annotations

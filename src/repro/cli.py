@@ -848,9 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KERNEL_MODES,
         default="auto",
         help="pre-key computation: size-based auto dispatch, scalar "
-        "loop, forced batch, or a pinned batch layout (lanes = flat "
-        "lane-packed, words = slab word-array); identical partitions "
-        "in every mode",
+        "loop, or forced batch; identical partitions in every mode",
     )
     p.add_argument(
         "--random",

@@ -1,29 +1,25 @@
 """Bit-parallel batch kernels: SIMD-on-bigints for the hot paths.
 
 This package packs a batch of ``B`` truth tables (width ``2**n``) into
-the lanes of one wide Python integer and replaces per-function Python
-loops with a handful of big-integer operations that CPython executes in
-C.  The layer is dependency-free (no numpy): the "vector unit" is the
+wide Python integers and replaces per-function Python loops with a
+handful of big-integer operations that CPython executes in C.  The
+layer is dependency-free (no numpy): the "vector unit" is the
 arbitrary-precision integer itself.
 
 Modules
 -------
-:mod:`repro.kernels.lanes`
-    Lane layout, packing/extraction, replicated-mask builders.
-:mod:`repro.kernels.popcount`
-    Per-lane weights and the shared popcount butterfly that yields the
-    total weight and all ``2n`` cofactor weights of every lane at once.
-:mod:`repro.kernels.prekey`
-    The fused pipeline producing the engine's coarse NPN pre-keys plus
-    cofactor-weight vectors for a whole bucket in one pass.
-:mod:`repro.kernels.transform`
-    Lane-wise axis flips, input negation, Moebius and FPRM transforms.
 :mod:`repro.kernels.wordarray`
-    The word-array ("slab") layout for large ``n``: the batch is held
-    as ``2**h`` slab integers, each slicing one ``2**(n-h)``-bit chunk
-    out of every table, so the butterfly runs O(n) wide passes instead
-    of the flat layout's O(n^2) and per-word popcounts come from one
-    ``bytes.translate`` per slab.
+    The one batched layout for pre-keys, cofactor weights and the
+    FPRM/Moebius transforms.  The batch is held as ``2**h`` slab
+    integers, each slicing one ``2**(n-h)``-bit chunk out of every
+    table; at ``h = 0`` the single slab is the plain lane-packed
+    integer.  ``h`` is a function of ``n`` alone
+    (:func:`repro.kernels.wordarray.slab_h`).
+:mod:`repro.kernels.prekey`
+    The shared back half of the pre-key kernel: scalar-identical
+    ``(keys, weights)`` tuples from the extracted weight columns.
+:mod:`repro.kernels.lanes`
+    Lane packing, extraction and replicated-mask builders.
 :mod:`repro.kernels.influence`
     Per-lane influence vectors and sensitivity histograms for the
     engine's influence/sensitivity pre-key tiers.
@@ -38,15 +34,6 @@ below that the packing overhead eats the win.  The pre-key pipeline
 needs byte-aligned lanes (``n >= 3``); narrower groups silently take
 the scalar path, counted in ``kernels.scalar_fallbacks``.
 
-Batched groups then pick a *layout* through :func:`choose_layout`: the
-flat lane-packed layout up to ``n = 10``, the slab word-array layout
-from :data:`repro.kernels.wordarray.SLAB_MIN_N` up (where the flat
-butterfly's O(n^2) rounds over a megabyte-scale integer fall behind the
-scalar loop — measured in BENCH_kernels.json).  ``"lanes"`` and
-``"words"`` force a layout for differential testing and benchmarks;
-``"words"`` below the slab floor falls back to the flat layout rather
-than erroring, so CLI sweeps can hold the flag constant across n.
-
 When observability is enabled (:mod:`repro.obs.runtime`) the wrappers
 record call counts, lane throughput and wall time under the
 ``kernels.*`` namespace.
@@ -57,71 +44,38 @@ from __future__ import annotations
 import time
 from typing import List, Sequence, Tuple
 
-from repro.kernels import (
-    influence,
-    lanes,
-    popcount,
-    prekey,
-    transform,
-    wordarray,
-)
+from repro.kernels import influence, lanes, prekey, wordarray
 from repro.kernels.influence import batch_influence, batch_sensitivity
-from repro.kernels.lanes import pack_tables, unpack_tables
-from repro.kernels.popcount import (
-    AUTO_REDUCE_MAX_N,
-    batch_weights,
-    butterfly,
-    packed_weights,
-)
-from repro.kernels.prekey import batch_cofactor_weights, batch_prekeys
-from repro.kernels.transform import (
-    batch_flip_axis,
+from repro.kernels.wordarray import (
+    batch_cofactor_weights,
     batch_fprm,
     batch_mobius,
-    batch_negate_inputs,
-    batch_output_complement,
+    batch_prekeys,
+    fprm_ladder_weights,
 )
-from repro.kernels.wordarray import fprm_ladder_weights
 from repro.obs import runtime as _obs
 
 __all__ = [
-    "AUTO_REDUCE_MAX_N",
     "KERNEL_MIN_BATCH",
     "KERNEL_MODES",
     "batch_cofactor_weights",
-    "batch_flip_axis",
     "batch_fprm",
     "batch_influence",
     "batch_mobius",
-    "batch_negate_inputs",
-    "batch_output_complement",
     "batch_prekeys",
     "batch_sensitivity",
-    "batch_weights",
-    "butterfly",
-    "choose_layout",
     "coarse_prekeys",
     "fprm_ladder_weights",
     "influence",
     "influence_vectors",
     "lanes",
-    "pack_tables",
-    "packed_weights",
-    "popcount",
     "prekey",
     "should_batch",
-    "transform",
-    "unpack_tables",
     "wordarray",
 ]
 
-KERNEL_MODES = ("auto", "scalar", "batch", "lanes", "words")
-"""Valid values of the ``kernel`` dispatch mode.
-
-``"auto"``/``"scalar"``/``"batch"`` decide *whether* to batch;
-``"lanes"``/``"words"`` additionally pin the batched *layout* (flat
-lane-packed vs slab word-array) instead of letting
-:func:`choose_layout` pick by width."""
+KERNEL_MODES = ("auto", "scalar", "batch")
+"""Valid values of the ``kernel`` dispatch mode: whether to batch."""
 
 KERNEL_MIN_BATCH = 8
 """``"auto"`` crossover: batch groups of at least this many distinct
@@ -137,7 +91,7 @@ def should_batch(n: int, count: int, kernel: str = "auto") -> bool:
         raise ValueError(
             f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}"
         )
-    if kernel == "scalar" or count < 2 or not prekey.supported(n):
+    if kernel == "scalar" or count < 2 or not wordarray.supported(n):
         if kernel != "scalar" and count >= 2 and _obs.enabled:
             _obs.registry.counter("kernels.scalar_fallbacks").inc()
         return False
@@ -146,51 +100,23 @@ def should_batch(n: int, count: int, kernel: str = "auto") -> bool:
     return count >= KERNEL_MIN_BATCH
 
 
-def choose_layout(n: int, count: int, kernel: str = "auto") -> str:
-    """Pick the batched layout — ``"lanes"`` (flat lane-packed) or
-    ``"words"`` (slab word-array) — for a group that passed
-    :func:`should_batch`.
-
-    The crossover is by width alone: the flat butterfly does O(n^2)
-    rounds over the whole packed batch and falls behind scalar from
-    ``n = 11`` up, exactly where the slab pipeline's O(n) passes take
-    over (:data:`repro.kernels.wordarray.SLAB_MIN_N`).  ``count`` is
-    accepted for symmetry with :func:`should_batch` and for future
-    tuning, but the measured crossover did not move with batch size.
-    A forced ``"words"`` below the slab floor degrades to ``"lanes"``
-    (the slab layout needs multi-word chunks to exist at all).
-    """
-    if kernel == "lanes":
-        return "lanes"
-    if kernel == "words":
-        return "words" if wordarray.supported(n) else "lanes"
-    return "words" if n >= wordarray.SLAB_MIN_N else "lanes"
-
-
 def coarse_prekeys(
-    bits_list: Sequence[int], n: int, kernel: str = "auto"
+    bits_list: Sequence[int], n: int
 ) -> Tuple[List[tuple], List[tuple]]:
     """Instrumented entry point for the fused pre-key + weights kernel.
 
-    Dispatches to :func:`repro.kernels.prekey.batch_prekeys` (flat
-    lanes) or :func:`repro.kernels.wordarray.batch_prekeys` (slabs) via
-    :func:`choose_layout`, plus ``kernels.*`` metrics when
-    observability is on.  Callers gate on :func:`should_batch`; this
-    function itself still falls back to scalar below the supported
-    width.  Both layouts return scalar-identical ``(keys, weights)``.
+    Identical to :func:`repro.kernels.wordarray.batch_prekeys`, plus
+    ``kernels.*`` metrics when observability is on.  Callers gate on
+    :func:`should_batch`.
     """
-    layout = choose_layout(n, len(bits_list), kernel)
-    impl = wordarray.batch_prekeys if layout == "words" else batch_prekeys
     if not _obs.enabled:
-        return impl(bits_list, n)
+        return batch_prekeys(bits_list, n)
     t0 = time.perf_counter()
-    result = impl(bits_list, n)
+    result = batch_prekeys(bits_list, n)
     registry = _obs.registry
     registry.counter("kernels.prekey_calls").inc()
     registry.counter("kernels.prekey_lanes").inc(len(bits_list))
     registry.counter("kernels.prekey_seconds").inc(time.perf_counter() - t0)
-    if layout == "words":
-        registry.counter("kernels.prekey_slab_calls").inc()
     return result
 
 

@@ -5,8 +5,8 @@ reproduces their raw counts bit-for-bit for a whole batch at once:
 
 * **influence** is one XOR + axis mask per lane pair — the Boolean
   difference ``(packed ^ (packed >> 2**i)) & rep_axis(i)`` — followed by
-  the same strided popcount main chain the weight butterfly uses, so
-  every lane's ``inf_i`` falls out of ``n`` reduction rounds per axis.
+  a strided popcount chain, so every lane's ``inf_i`` falls out of ``n``
+  reduction rounds per axis.
 * **sensitivity** ripple-adds the ``n`` full-domain difference tables
   into per-lane counter bit-planes (the packed twin of the scalar
   bit-plane trick), builds the per-value point masks once for the whole
@@ -14,17 +14,13 @@ reproduces their raw counts bit-for-bit for a whole batch at once:
   boundary columns — through per-lane popcount reductions.
 
 Both entry points silently fall back to the scalar implementations
-below the kernel's byte-aligned lane floor (``n < 3``) — mirroring
-:func:`repro.kernels.prekey.batch_prekeys` — and *above*
+below the kernel's byte-aligned lane floor (``n < 3``) and *above*
 :data:`BATCH_MAX_N`: the influence pipeline is n reduction rounds per
 axis (n^2 total) over the whole packed batch, and from ``n = 11`` up
-that loses to the scalar per-table masked-popcount loops by ~7x
-(28ms vs 4ms at n=14, B=256; the same reason
-:data:`repro.kernels.popcount.AUTO_REDUCE_MAX_N` is tiny — bare
-popcounts are already C-speed, so the packing buys nothing).  The slab
-layout does not help here: its win comes from *sharing* one reduction
-across all 2n cofactor counts, and influence needs a fresh XOR-ed
-table per axis.
+that loses to the scalar per-table masked-popcount loops, whose bare
+popcounts are already C-speed.  The slab layout does not help here: its
+win comes from *sharing* one reduction across all 2n cofactor counts,
+and influence needs a fresh XOR-ed table per axis.
 """
 
 from __future__ import annotations
@@ -32,20 +28,19 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.kernels import lanes
-from repro.kernels.prekey import supported as _prekey_supported
-from repro.kernels.wordarray import SLAB_MIN_N
 
 __all__ = ["BATCH_MAX_N", "batch_influence", "batch_sensitivity", "supported"]
 
-BATCH_MAX_N = SLAB_MIN_N - 1
-"""Widest tables the packed influence/sensitivity pipeline batches;
-above this the scalar loops win (see the module docstring)."""
+BATCH_MAX_N = 10
+"""Widest tables the packed influence/sensitivity pipeline batches.
+Above this the scalar loops win: batched influence measured ~7x slower
+at n = 14 (28 ms vs 4 ms for B = 256)."""
 
 
 def supported(n: int) -> bool:
     """Whether the packed influence pipeline covers ``n`` (byte-aligned
     lanes at the bottom, the measured scalar crossover at the top)."""
-    return _prekey_supported(n) and n <= BATCH_MAX_N
+    return 3 <= n <= BATCH_MAX_N
 
 
 def _lane_counts(x: int, n: int, count: int, lb: int, total_bits: int):

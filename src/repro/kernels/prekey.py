@@ -1,10 +1,11 @@
-"""Fused batch pre-keys: the engine's coarse NPN pre-key for a whole
-bucket in one pass over the packed batch.
+"""The back half of the batch pre-key kernel: scalar-identical coarse
+NPN pre-keys and cofactor-weight vectors from extracted weight columns.
 
 The scalar :func:`repro.engine.prekey.coarse_prekey` builds, per
 function, the sorted min/max cofactor-weight-pair profile and takes the
 lexicographic minimum of the profile and its negation image.  The batch
-kernel reproduces those tuples bit-for-bit from three observations:
+kernel (:func:`repro.kernels.wordarray.batch_prekeys`) reproduces those
+tuples bit-for-bit from three observations:
 
 * ``ncw_i + pcw_i = |f|`` for every variable, so each (min, max)-ordered
   pair is determined by ``m_i = min(ncw_i, pcw_i)`` and the function
@@ -20,7 +21,7 @@ kernel reproduces those tuples bit-for-bit from three observations:
   ``(fw/2, fw/2)`` — so the (rare) exact cofactor comparison runs only
   for variables whose extracted min hits ``fw // 2`` on an even ``fw``.
 
-The per-lane mins come out of the shared butterfly with a SWAR
+The per-lane mins come out of the slab weight pass with a SWAR
 compare-and-select (no per-variable popcounts), and the final tuples are
 materialized through lazy *pair-row tables*: ``pair_row(size, fw)[m] ==
 (m, fw - m)``, so one C-level ``map(row.__getitem__, mins)`` per
@@ -32,8 +33,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.kernels import lanes
-from repro.kernels.popcount import butterfly
 from repro.utils import bitops
 
 Pair = Tuple[int, int]
@@ -76,72 +75,6 @@ def npair_row(size: int, fw: int) -> List[Pair]:
     return r
 
 
-def _lane_columns(bits_list: Sequence[int], n: int, count: int):
-    """Pack, reduce, SWAR-min and extract: the shared front half of the
-    weight and pre-key kernels.
-
-    Returns ``(w, ncw_cols, min_cols)`` — per-lane total weights, one
-    extracted column per variable of negative cofactor weights, and one
-    per variable of ``min(ncw, pcw)``.
-    """
-    size = 1 << n
-    half = size >> 1
-    total_bits = count << n
-    nbytes = lanes.lane_bytes(n)
-    packed = lanes.pack_tables(bits_list, n)
-    S, ncw_f = butterfly(packed, n, count)
-    # SWAR min(ncw, pcw): with pcw = S - E, set a probe bit P above each
-    # lane's count field, subtract, and smear the surviving borrow into a
-    # field mask bf that selects pcw exactly where pcw < ncw is false...
-    # i.e. ge = "ncw >= pcw" per lane; blend E and pcw through bf.
-    P = lanes.rep_bit(n, size, total_bits)
-    mins_f = []
-    for E in ncw_f:
-        pcw = S - E
-        ge = ((E | P) - pcw) & P
-        bf = ge - (ge >> n)
-        mins_f.append(E ^ ((E ^ pcw) & bf))
-    min_cols = [lanes.extract_lanes(x, nbytes, count, half) for x in mins_f]
-    ncw_cols = [lanes.extract_lanes(x, nbytes, count, half) for x in ncw_f]
-    w = lanes.extract_lanes(S, nbytes, count, size)
-    return w, ncw_cols, min_cols
-
-
-def batch_cofactor_weights(
-    bits_list: Sequence[int], n: int
-) -> List[Tuple[Pair, ...]]:
-    """``(ncw_i, pcw_i)`` for every variable of every table in the batch.
-
-    Matches ``tuple((half_weight(b, n, i, 0), half_weight(b, n, i, 1))
-    for i in range(n))`` per table.  Falls back to that scalar loop for
-    ``n < 3`` (sub-byte lanes) — see :func:`supported`.
-    """
-    count = len(bits_list)
-    if not count:
-        return []
-    if not supported(n):
-        masks = bitops.axis_masks(n)
-        return [
-            tuple(
-                ((b & m).bit_count(), ((b >> (1 << i)) & m).bit_count())
-                for i, m in enumerate(masks)
-            )
-            for b in bits_list
-        ]
-    size = 1 << n
-    w, ncw_cols, _ = _lane_columns(bits_list, n, count)
-    if size > PAIR_ROW_MAX_SIZE:
-        return [
-            tuple((m, fw - m) for m in nrow)
-            for fw, nrow in zip(w, zip(*ncw_cols))
-        ]
-    out = []
-    for fw, nrow in zip(w, zip(*ncw_cols)):
-        pf = pair_row(size, fw)
-        out.append(tuple(map(pf.__getitem__, nrow)))
-    return out
-
-
 def finish_prekeys(
     cols, bits_list: Sequence[int], n: int
 ) -> Tuple[List[tuple], List[Tuple[Pair, ...]]]:
@@ -149,9 +82,8 @@ def finish_prekeys(
     ``(w, ncw_cols, min_cols)`` columns into the scalar-identical
     ``(keys, weights)`` lists.
 
-    Both layouts (flat lanes and the slab pipeline in
-    :mod:`repro.kernels.wordarray`) produce the same columns and end
-    here.  Small tables go through the shared pair-row tables; above
+    The columns come from the slab weight pass in
+    :mod:`repro.kernels.wordarray`.  Small tables go through the shared pair-row tables; above
     :data:`PAIR_ROW_MAX_SIZE` each lane's pairs are built directly
     (see the constant's docstring for why).
     """
@@ -208,40 +140,3 @@ def finish_prekeys(
                     )
                 )
     return keys, weights
-
-
-def batch_prekeys(
-    bits_list: Sequence[int], n: int
-) -> Tuple[List[tuple], List[Tuple[Pair, ...]]]:
-    """Coarse pre-keys *and* cofactor-weight vectors for a whole batch.
-
-    Returns ``(keys, weights)`` where ``keys[k]`` equals
-    ``coarse_prekey(TruthTable(n, bits_list[k]))`` bit-for-bit and
-    ``weights[k]`` is the ``((ncw, pcw), ...)`` vector (the two share
-    one butterfly, which is where the batch speedup comes from).
-    Scalar fallback below ``n = 3``.
-    """
-    count = len(bits_list)
-    if not count:
-        return [], []
-    if not supported(n):
-        return _scalar_prekeys(bits_list, n)
-    return finish_prekeys(_lane_columns(bits_list, n, count), bits_list, n)
-
-
-def supported(n: int) -> bool:
-    """Whether the packed pre-key/weight pipeline covers ``n``.
-
-    The byte-strided extraction needs lanes of at least one byte
-    (``n >= 3``); above :data:`repro.utils.bitops.MAX_VARS` tables are
-    rejected everywhere anyway.
-    """
-    return 3 <= n <= bitops.MAX_VARS
-
-
-def _scalar_prekeys(bits_list, n):
-    from repro.engine.prekey import coarse_prekey
-    from repro.boolfunc.truthtable import TruthTable
-
-    keys = [coarse_prekey(TruthTable(n, b)) for b in bits_list]
-    return keys, batch_cofactor_weights(bits_list, n)

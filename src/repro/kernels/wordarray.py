@@ -1,13 +1,12 @@
-"""Word-array (slab) batch kernels: the large-``n`` layout.
+"""Word-array (slab) batch kernels: the one batched layout.
 
-The flat lane layout of :mod:`repro.kernels.lanes` packs ``B`` tables
-side by side and pays ``n + n*(n-1)/2`` butterfly rounds for the full
-cofactor-weight set — quadratic in ``n`` — so its advantage over the
-scalar loops decays from ~3x at ``n = 8`` to below 1x by ``n = 11``
-(BENCH_kernels.json).  This module is the word-array twin used above
-:data:`SLAB_MIN_N`: the batch is *transposed* into ``2**h`` **slabs**,
-where slab ``s`` is one wide integer holding word ``s`` (a ``2**c``-bit
-chunk, ``c = n - h``) of every table, one lane per table.
+A batch of ``B`` truth tables is *transposed* into ``2**h`` **slabs**:
+slab ``s`` is one wide integer holding word ``s`` (a ``2**c``-bit chunk,
+``c = n - h``) of every table, one lane per table.  At ``h = 0`` the
+single slab is exactly the lane-packed integer (table ``k`` in lane
+``k``); larger ``h`` trades a transpose for shorter in-slab rounds.
+:func:`slab_h` and :func:`transform_slab_h` pick ``h`` from ``n`` alone
+(measured sweep in EXPERIMENTS.md).
 
 The layout splits each table's variables into three bands, exactly like
 the word-array truth tables of MyskYko/ttopt (and the reference
@@ -18,26 +17,25 @@ single-table ops in :mod:`repro.utils.words`):
   replacing the three narrowest — and most expensive per useful bit —
   butterfly rounds with a single C pass;
 * axes 3..c-1 live inside a slab lane: masked-shift rounds, one per
-  axis, over fields that start a byte wide (so every round from here on
-  is cheap relative to the flat layout's 1-, 2- and 4-bit rounds);
+  axis, over fields that start a byte wide;
 * axes c..n-1 are the *slab index*: operations on them are list
   operations — a cofactor weight is a sum of slab vectors, an axis flip
   is a permutation of the slab list (free), a Moebius step is one
   unmasked XOR per slab pair.
 
-The result is O(n) wide passes per batch for the full pre-key column
-set instead of the flat layout's O(n^2), which is what restores the
->= 2x batch margin at ``n = 12..16``.
+The full pre-key column set costs O(n) wide passes per batch, not the
+O(n^2) rounds of a butterfly that re-reduces every cofactor branch.
 
 Cross-slab sums never overflow: the translate output holds values
 <= 8 in 8-bit fields, and every summation either has headroom proved by
 construction (field capacity ``2**16`` at the narrowest summed stride
 vs at most ``2**(h+3)`` slabs-times-value) or is widened first in
-groups of at most 16 slabs.
+groups of at most 31 slabs.  With ``c = 3`` (``n = 3``) the lanes are a
+single byte and there are no in-slab rounds at all.
 
-All kernels return results bit-identical to the scalar reference and to
-the flat lane kernels; serialized forms never change (tables enter and
-leave as plain packed bigints).
+All kernels return results bit-identical to the scalar references;
+tables enter and leave as plain packed bigints.  Below ``n = 3`` (no
+byte-wide lanes) every entry point takes the scalar path.
 """
 
 from __future__ import annotations
@@ -46,14 +44,8 @@ from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.kernels import lanes
+from repro.kernels.prekey import PAIR_ROW_MAX_SIZE, Pair, finish_prekeys, pair_row
 from repro.utils import bitops
-
-Pair = Tuple[int, int]
-
-SLAB_MIN_N = 11
-"""Dispatch floor: below this the flat lane layout wins (its rounds are
-cheap at small widths and it avoids the transpose); from here up the
-slab layout wins and the flat butterfly is already slower than scalar."""
 
 SLAB_MAX_H = 6
 """Upper bound on ``log2`` slab count.  More slabs shorten the in-slab
@@ -71,19 +63,34 @@ against these replaces the three narrowest butterfly rounds."""
 
 
 def supported(n: int) -> bool:
-    """Whether the slab pipeline covers ``n`` (needs byte-wide chunks
-    after splitting off at most :data:`SLAB_MAX_H` slab axes)."""
-    return SLAB_MIN_N <= n <= bitops.MAX_VARS
+    """Whether the slab pipeline covers ``n``: byte-wide lanes need
+    ``n >= 3``; above :data:`repro.utils.bitops.MAX_VARS` tables are
+    rejected everywhere anyway."""
+    return 3 <= n <= bitops.MAX_VARS
 
 
 def slab_h(n: int) -> int:
-    """Measured-optimal slab-count exponent for ``n``-variable batches.
+    """Slab-count exponent for the counting kernels (pre-keys, cofactor
+    weights, the FPRM ladder).
 
-    Keeps chunks near ``2**8``..``2**10`` bits: large enough that the
-    per-slab Python overhead amortizes, small enough that many axes are
-    list-level.  (BENCH_kernels.json carries the sweep.)
+    One slab (the plain lane-packed batch) through ``n = 6``, then two
+    slab axes per three variables up to :data:`SLAB_MAX_H`: chunks grow
+    from ``2**5`` bits at ``n = 7`` to ``2**10`` at ``n = 16``, short
+    enough that the in-slab rounds stay cheap and long enough that the
+    per-slab Python overhead amortizes (sweep in EXPERIMENTS.md).
     """
-    return max(3, min(SLAB_MAX_H, n - 8))
+    return max(0, min(SLAB_MAX_H, 2 * (n - 5) // 3))
+
+
+def transform_slab_h(n: int) -> int:
+    """Slab-count exponent for the kernels that transpose back
+    (:func:`batch_fprm`, :func:`batch_mobius`).
+
+    Unpacking a multi-slab batch joins ``2**h`` chunks per table, which
+    outweighs the shorter rounds until the tables are large: one slab
+    through ``n = 11``, then one more slab axis per variable.
+    """
+    return max(0, min(SLAB_MAX_H, n - 11))
 
 
 def pack_slabs(bits_list: Sequence[int], n: int, h: int) -> List[bytes]:
@@ -96,6 +103,8 @@ def pack_slabs(bits_list: Sequence[int], n: int, h: int) -> List[bytes]:
     tb = 1 << (n - 3)
     cb = tb >> h
     bufs = [b.to_bytes(tb, "little") for b in bits_list]
+    if not h:
+        return [b"".join(bufs)]
     # itemgetter(slice) keeps the B * 2**h chunk extraction entirely in
     # C; a per-buffer genexpr here costs more than the slicing itself.
     return [
@@ -107,8 +116,11 @@ def pack_slabs(bits_list: Sequence[int], n: int, h: int) -> List[bytes]:
 def unpack_slabs(slabs: Sequence[int], n: int, count: int, h: int) -> List[int]:
     """Inverse transpose: per-table integers from slab integers."""
     cb = (1 << (n - 3)) >> h
-    imgs = [x.to_bytes(count * cb, "little") for x in slabs]
     fb = int.from_bytes
+    if not h:
+        buf = slabs[0].to_bytes(count * cb, "little")
+        return [fb(buf[off:off + cb], "little") for off in range(0, count * cb, cb)]
+    imgs = [x.to_bytes(count * cb, "little") for x in slabs]
     return [
         fb(b"".join(map(itemgetter(slice(off, off + cb)), imgs)), "little")
         for off in (k * cb for k in range(count))
@@ -117,7 +129,8 @@ def unpack_slabs(slabs: Sequence[int], n: int, count: int, h: int) -> List[int]:
 
 def _count_masks(c: int, total: int) -> List[int]:
     """Even-field masks for the in-slab count rounds (fields start one
-    byte wide — the translate pass already merged axes 0..2)."""
+    byte wide — the translate pass already merged axes 0..2).  Empty at
+    ``c = 3``."""
     return [lanes.rep_mask(8 << r, total) for r in range(c - 3)]
 
 
@@ -129,6 +142,11 @@ def _grouped_sum(vals: Sequence[int], m0: int) -> Tuple[int, int]:
     Returns ``(sum16, even16)`` where ``even16`` is the summed round-0
     even slice — the seed of the axis-3 branch in the weight chains.
     """
+    if len(vals) <= 31:
+        # A single group: no loop, no slice.
+        p = sum(vals)
+        e16 = p & m0
+        return e16 + ((p >> 8) & m0), e16
     s16 = 0
     e16 = 0
     for k in range(0, len(vals), 31):
@@ -139,9 +157,7 @@ def _grouped_sum(vals: Sequence[int], m0: int) -> Tuple[int, int]:
     return s16, e16
 
 
-def _lane_weight_sum(
-    slabs: Sequence[int], c: int, count: int, h: int
-) -> int:
+def _lane_weight_sum(slabs: Sequence[int], c: int, count: int) -> int:
     """Per-lane weight vector summed over all slabs (``2**c``-bit
     fields, one total count per lane).
 
@@ -149,15 +165,15 @@ def _lane_weight_sum(
     the translated byte counts are summed *across slabs first* (via
     :func:`_grouped_sum`) and a single chain widens the total — one add
     per slab plus one chain, instead of a full chain per slab."""
-    total = count << c
-    masks = _count_masks(c, total)
+    masks = _count_masks(c, count << c)
     tb = count << (c - 3)
     fb = int.from_bytes
     tab = _BYTE_COUNT
-    y, _ = _grouped_sum(
-        [fb(x.to_bytes(tb, "little").translate(tab), "little") for x in slabs],
-        masks[0],
-    )
+    counts = [fb(x.to_bytes(tb, "little").translate(tab), "little") for x in slabs]
+    if not masks:
+        # c == 3: byte lanes, and the slab total stays <= 2**n < 256.
+        return sum(counts)
+    y, _ = _grouped_sum(counts, masks[0])
     for r in range(1, len(masks)):
         w = 8 << r
         m = masks[r]
@@ -165,23 +181,12 @@ def _lane_weight_sum(
     return y
 
 
-def batch_weights(bits_list: Sequence[int], n: int) -> List[int]:
-    """Per-table on-set weights through the slab pipeline.
-
-    Exists for completeness and differential testing; a bare
-    ``int.bit_count`` per table is faster at every width (see
-    :data:`repro.kernels.popcount.AUTO_REDUCE_MAX_N`) and remains what
-    dispatch picks for standalone weights.
-    """
-    return [b.bit_count() for b in bits_list]
-
-
 def _slab_columns(
     bits_list: Sequence[int], n: int, count: int, h: int, want_mins: bool = True
 ):
-    """The slab twin of :func:`repro.kernels.prekey._lane_columns`:
-    per-table total weights, per-axis negative-cofactor-weight columns
-    and per-axis ``min(ncw, pcw)`` columns, from one pass.
+    """Per-table total weights, per-axis negative-cofactor-weight
+    columns and per-axis ``min(ncw, pcw)`` columns, from one pass: the
+    shared front half of the pre-key and cofactor-weight kernels.
 
     Weight flow: one popcount translate per slab collapses axes 0..2
     into byte counts (plus three masked translates seeding the
@@ -197,23 +202,18 @@ def _slab_columns(
     c = n - h
     size = 1 << n
     half = size >> 1
-    nslabs = 1 << h
     total = count << c
     cb = 1 << (c - 3)
     fb = int.from_bytes
     masks = _count_masks(c, total)
     nrounds = len(masks)
-    m0 = masks[0]
 
-    t_all = _BYTE_COUNT
-    t_axis = _BYTE_COUNT_AXIS
-    ty: List[int] = []
-    low: List[List[int]] = [[], [], []]
-    for sbuf in pack_slabs(bits_list, n, h):
-        ty.append(fb(sbuf.translate(t_all), "little"))
-        low[0].append(fb(sbuf.translate(t_axis[0]), "little"))
-        low[1].append(fb(sbuf.translate(t_axis[1]), "little"))
-        low[2].append(fb(sbuf.translate(t_axis[2]), "little"))
+    sbufs = pack_slabs(bits_list, n, h)
+    ty = [fb(sbuf.translate(_BYTE_COUNT), "little") for sbuf in sbufs]
+    low = [
+        [fb(sbuf.translate(tab), "little") for sbuf in sbufs]
+        for tab in _BYTE_COUNT_AXIS
+    ]
 
     def widen(z: int, r0: int) -> int:
         for r in range(r0, nrounds):
@@ -222,36 +222,47 @@ def _slab_columns(
             z = (z & m) + ((z >> w) & m)
         return z
 
-    # Total-weight chain over the slab-summed byte counts, capturing
-    # the even slice at every round: slice r of the summed chain equals
-    # the sum of the per-slab slices, i.e. the in-slab ncw column for
-    # axis 3 + r already reduced over all high axes.
-    y, e0 = _grouped_sum(ty, m0)
-    branch_f: List[int] = [e0]
-    for r in range(1, nrounds):
-        w = 8 << r
-        m = masks[r]
-        t = y & m
-        branch_f.append(t)
-        y = t + ((y >> w) & m)
+    if nrounds:
+        m0 = masks[0]
+
+        def summed(vals: Sequence[int]) -> int:
+            return _grouped_sum(vals, m0)[0]
+
+        # Total-weight chain over the slab-summed byte counts, capturing
+        # the even slice at every round: slice r of the summed chain
+        # equals the sum of the per-slab slices, i.e. the in-slab ncw
+        # column for axis 3 + r already reduced over all high axes.
+        y, e0 = _grouped_sum(ty, m0)
+        branch_f: List[int] = [e0]
+        for r in range(1, nrounds):
+            w = 8 << r
+            m = masks[r]
+            t = y & m
+            branch_f.append(t)
+            y = t + ((y >> w) & m)
+    else:
+        # c == 3: byte lanes, no in-slab axes; slab sums stay <= 2**n <
+        # 256 (c = 3 needs 2**c > n, so n <= 7), so plain adds never
+        # carry out of a lane.
+        summed = sum
+        y = sum(ty)
+        branch_f = []
     S = y
 
-    ncw_f: List[int] = []
-    for zs in low:
-        z, _ = _grouped_sum(zs, m0)
-        ncw_f.append(widen(z, 1))
+    ncw_f = [widen(summed(zs), 1) for zs in low]
     for r, z in enumerate(branch_f):
         ncw_f.append(widen(z, r + 1))
     for j in range(h):
         bit = 1 << j
-        z, _ = _grouped_sum(
-            [ty[s] for s in range(nslabs) if not s & bit], m0
+        ncw_f.append(
+            widen(summed([v for s, v in enumerate(ty) if not s & bit]), 1)
         )
-        ncw_f.append(widen(z, 1))
 
-    # SWAR min(ncw, pcw), same borrow trick as the flat pipeline: the
-    # probe bit sits at position n of each 2**c-bit field (2**c > n for
-    # every supported width).
+    # SWAR min(ncw, pcw): with pcw = S - E, set a probe bit P at
+    # position n of each 2**c-bit field (2**c > n for every width
+    # slab_h picks), subtract, and smear the surviving borrow into a
+    # field mask bf — i.e. ge = "ncw >= pcw" per lane — then blend E
+    # and pcw through bf.
     min_cols = None
     if want_mins:
         P = lanes.rep_bit(n, 1 << c, total)
@@ -270,20 +281,23 @@ def _slab_columns(
 def batch_prekeys(
     bits_list: Sequence[int], n: int
 ) -> Tuple[List[tuple], List[Tuple[Pair, ...]]]:
-    """Coarse pre-keys and cofactor-weight vectors, slab layout.
+    """Coarse pre-keys *and* cofactor-weight vectors for a whole batch.
 
-    Bit-identical to :func:`repro.kernels.prekey.batch_prekeys` (and to
-    the scalar ``coarse_prekey``); only the internal layout differs.
+    Returns ``(keys, weights)`` where ``keys[k]`` equals
+    ``coarse_prekey(TruthTable(n, bits_list[k]))`` bit-for-bit and
+    ``weights[k]`` is the ``((ncw, pcw), ...)`` vector (the two share
+    one weight pass, which is where the batch speedup comes from).
+    Scalar fallback below ``n = 3``.
     """
     count = len(bits_list)
     if not count:
         return [], []
     if not supported(n):
-        from repro.kernels import prekey as _prekey
+        from repro.boolfunc.truthtable import TruthTable
+        from repro.engine.prekey import coarse_prekey
 
-        return _prekey.batch_prekeys(bits_list, n)
-    from repro.kernels.prekey import finish_prekeys
-
+        keys = [coarse_prekey(TruthTable(n, b)) for b in bits_list]
+        return keys, batch_cofactor_weights(bits_list, n)
     cols = _slab_columns(bits_list, n, count, slab_h(n))
     return finish_prekeys(cols, bits_list, n)
 
@@ -291,21 +305,35 @@ def batch_prekeys(
 def batch_cofactor_weights(
     bits_list: Sequence[int], n: int
 ) -> List[Tuple[Pair, ...]]:
-    """Per-table ``((ncw_i, pcw_i), ...)`` vectors, slab layout."""
+    """``(ncw_i, pcw_i)`` for every variable of every table in the batch.
+
+    Matches ``tuple((half_weight(b, n, i, 0), half_weight(b, n, i, 1))
+    for i in range(n))`` per table; that scalar loop is the fallback
+    below ``n = 3``.
+    """
     count = len(bits_list)
     if not count:
         return []
     if not supported(n):
-        from repro.kernels import prekey as _prekey
-
-        return _prekey.batch_cofactor_weights(bits_list, n)
-    w, ncw_cols, _ = _slab_columns(
-        bits_list, n, count, slab_h(n), want_mins=False
-    )
-    return [
-        tuple((m, fw - m) for m in nrow)
-        for fw, nrow in zip(w, zip(*ncw_cols))
-    ]
+        masks = bitops.axis_masks(n)
+        return [
+            tuple(
+                ((b & m).bit_count(), ((b >> (1 << i)) & m).bit_count())
+                for i, m in enumerate(masks)
+            )
+            for b in bits_list
+        ]
+    size = 1 << n
+    w, ncw_cols, _ = _slab_columns(bits_list, n, count, slab_h(n), want_mins=False)
+    if size > PAIR_ROW_MAX_SIZE:
+        return [
+            tuple((m, fw - m) for m in nrow) for fw, nrow in zip(w, zip(*ncw_cols))
+        ]
+    out = []
+    for fw, nrow in zip(w, zip(*ncw_cols)):
+        pf = pair_row(size, fw)
+        out.append(tuple(map(pf.__getitem__, nrow)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +409,11 @@ def _fprm_slabs(
 
 
 def batch_fprm(bits_list: Sequence[int], n: int, polarity: int) -> List[int]:
-    """Slab-layout FPRM coefficient vectors for a whole batch.
+    """GRM coefficient vectors of a whole batch under one polarity.
 
-    Per-table equal to ``fprm_coefficients(bits, n, polarity)``.  Falls
-    back to the flat lane kernel below the supported width.
+    Per-table equal to ``fprm_coefficients(bits, n, polarity)``: flip
+    every negative-polarity axis, then the Moebius butterfly.  Scalar
+    fallback below ``n = 3``.
     """
     if not 0 <= polarity < (1 << n):
         raise ValueError("polarity vector out of range")
@@ -392,17 +421,17 @@ def batch_fprm(bits_list: Sequence[int], n: int, polarity: int) -> List[int]:
     if not count:
         return []
     if not supported(n):
-        from repro.kernels import transform as _transform
+        from repro.grm.transform import fprm_coefficients
 
-        return _transform.batch_fprm(bits_list, n, polarity)
-    h = slab_h(n)
+        return [fprm_coefficients(b, n, polarity) for b in bits_list]
+    h = transform_slab_h(n)
     slabs = _fprm_slabs(pack_slabs(bits_list, n, h), n, count, h, polarity)
     return unpack_slabs(slabs, n, count, h)
 
 
 def batch_mobius(bits_list: Sequence[int], n: int) -> List[int]:
-    """Slab-layout Moebius transform (FPRM at the all-positive
-    polarity)."""
+    """Per-table :func:`repro.utils.bitops.mobius` (FPRM at the
+    all-positive polarity)."""
     return batch_fprm(bits_list, n, (1 << n) - 1)
 
 
@@ -458,6 +487,6 @@ def fprm_ladder_weights(
                 m = lanes.rep_axis(c, i, total)
                 slabs = [x ^ ((x >> w) & m) for x in slabs]
         cur = p
-        S = _lane_weight_sum(slabs, c, count, h)
+        S = _lane_weight_sum(slabs, c, count)
         out.append(list(lanes.extract_lanes(S, cb, count, size)))
     return out

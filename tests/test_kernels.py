@@ -17,7 +17,7 @@ from repro.core import sensitivity
 from repro.engine import EngineOptions, classify_batch
 from repro.engine.prekey import coarse_prekey
 from repro.grm.transform import fprm_coefficients
-from repro.kernels import lanes
+from repro.kernels import wordarray
 from repro.testing.fuzzer import FuzzConfig, run_fuzz
 from repro.utils import bitops
 
@@ -98,24 +98,6 @@ def test_batch_influence_and_sensitivity_wide_tables(n):
     ]
 
 
-def test_batch_weights_reduce_rejects_small_n():
-    with pytest.raises(ValueError):
-        kernels.batch_weights([0b01, 0b11], 1, "reduce")
-
-
-@pytest.mark.parametrize("n", range(0, 9))
-def test_batch_weights_strategies_agree(n):
-    rng = random.Random(200 + n)
-    bl = batch_for(n, rng)
-    expected = [b.bit_count() for b in bl]
-    assert kernels.batch_weights(bl, n) == expected
-    assert kernels.batch_weights(bl, n, "extract") == expected
-    if n >= 3:
-        assert kernels.batch_weights(bl, n, "reduce") == expected
-    with pytest.raises(ValueError):
-        kernels.batch_weights(bl, max(n, 3), "simd")
-
-
 @pytest.mark.parametrize("n", range(0, 8))
 def test_batch_fprm_matches_scalar(n):
     rng = random.Random(300 + n)
@@ -132,33 +114,40 @@ def test_batch_fprm_matches_scalar(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_batch_structural_transforms_match_scalar(n):
+    # The remaining batch transforms: Moebius, and every single-axis
+    # input flip as seen through the FPRM polarity (clearing polarity
+    # bit i flips axis i before the Moebius butterfly).
     rng = random.Random(400 + n)
     bl = batch_for(n, rng, extra=11)
+    full = (1 << n) - 1
     for i in range(n):
-        assert kernels.batch_flip_axis(bl, n, i) == [
-            bitops.flip_axis(b, n, i) for b in bl
+        assert kernels.batch_fprm(bl, n, full ^ (1 << i)) == [
+            bitops.mobius(bitops.flip_axis(b, n, i), n) for b in bl
         ]
-    for neg in (0, (1 << n) - 1, rng.getrandbits(n)):
-        assert kernels.batch_negate_inputs(bl, n, neg) == [
-            bitops.negate_inputs(b, n, neg) for b in bl
+    for neg in (0, full, rng.getrandbits(n)):
+        assert kernels.batch_fprm(bl, n, full ^ neg) == [
+            bitops.mobius(bitops.negate_inputs(b, n, neg), n) for b in bl
         ]
     assert kernels.batch_mobius(bl, n) == [bitops.mobius(b, n) for b in bl]
-    tm = bitops.table_mask(n)
-    assert kernels.batch_output_complement(bl, n) == [b ^ tm for b in bl]
 
 
 def test_pack_unpack_roundtrip_uneven_counts():
     rng = random.Random(7)
-    for n in (0, 1, 3, 5, 8):
-        for count in (1, 2, 7, 33):
-            bl = [rng.getrandbits(1 << n) for _ in range(count)]
-            assert lanes.unpack_tables(lanes.pack_tables(bl, n), n, count) == bl
+    for n in (3, 5, 8, 11):
+        for h in range(0, min(wordarray.SLAB_MAX_H, n - 3) + 1):
+            for count in (1, 2, 7, 33):
+                bl = [rng.getrandbits(1 << n) for _ in range(count)]
+                slabs = [
+                    int.from_bytes(s, "little")
+                    for s in wordarray.pack_slabs(bl, n, h)
+                ]
+                assert len(slabs) == 1 << h
+                assert wordarray.unpack_slabs(slabs, n, count, h) == bl
 
 
 def test_empty_batches():
     assert kernels.batch_prekeys([], 5) == ([], [])
     assert kernels.batch_cofactor_weights([], 4) == []
-    assert kernels.batch_weights([], 4) == []
     assert kernels.batch_fprm([], 4, 0) == []
     assert kernels.batch_mobius([], 4) == []
 
@@ -177,8 +166,9 @@ def test_should_batch_dispatch():
     assert kernels.should_batch(8, 2, "batch")
     assert not kernels.should_batch(2, 100, "batch")  # unsupported width
     assert not kernels.should_batch(8, 100, "scalar")
-    with pytest.raises(ValueError):
-        kernels.should_batch(8, 100, "gpu")
+    for retired in ("gpu", "lanes", "words"):
+        with pytest.raises(ValueError):
+            kernels.should_batch(8, 100, retired)
 
 
 @pytest.mark.parametrize("n", range(0, 9))

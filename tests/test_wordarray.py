@@ -6,10 +6,10 @@ Two layers under test, both pinned to the packed-bigint reference:
   (masked shifts in-word, list manipulation above ``LOG2W``) must match
   the :mod:`repro.utils.bitops` primitives operation-for-operation at
   small, boundary-straddling and large widths;
-* :mod:`repro.kernels.wordarray` — the slab-layout batch kernels must
-  reproduce the scalar pre-keys, cofactor weights and FPRM/Moebius
-  transforms bit-for-bit at the widths the layout dispatcher routes to
-  them (``n >= 11``).
+* :mod:`repro.kernels.wordarray` — the slab-layout batch kernels (the
+  only batched layout) must reproduce the scalar pre-keys, cofactor
+  weights and FPRM/Moebius transforms bit-for-bit at every width, across
+  every slab-count boundary from the single-slab ``n = 3`` batch up.
 
 Serialized formats (store shards, corpus JSON) carry the canonical
 ``bits``, so a round-trip through the word-array view must be exactly
@@ -27,7 +27,6 @@ from repro.engine import EngineOptions, classify_batch
 from repro.engine.prekey import coarse_prekey
 from repro.grm.transform import fprm_coefficients
 from repro.kernels import prekey as prekey_mod
-from repro.kernels import transform as transform_mod
 from repro.kernels import wordarray
 from repro.store.records import StoreRecord, encode_prekey
 from repro.testing.corpus import Witness
@@ -36,7 +35,7 @@ from repro.utils import words as W
 
 REF_NS = (3, 6, 11, 13, 16)
 """Reference widths: below a word, exactly one word, and three
-multi-word sizes spanning the slab dispatch range."""
+multi-word sizes spanning the multi-slab range."""
 
 
 def cases_for(n, rng, randoms=3):
@@ -157,8 +156,6 @@ def test_slab_prekeys_match_scalar(n):
             for i, m in enumerate(masks)
         )
     assert wordarray.batch_cofactor_weights(bl, n) == list(weights)
-    # The flat-lane pipeline must agree too (shared finishing code).
-    assert prekey_mod.batch_prekeys(bl, n) == (keys, weights)
 
 
 def test_large_sizes_skip_pair_row_tables():
@@ -179,15 +176,46 @@ def test_large_sizes_skip_pair_row_tables():
 
 @pytest.mark.parametrize("n", (11, 13, 16))
 def test_slab_fprm_and_mobius_match_flat(n):
+    # Reference: the scalar transforms over the flat packed table.
     rng = random.Random(500 + n)
     bl = cases_for(n, rng, randoms=4 if n < 16 else 2)
     for pol in (0, (1 << n) - 1, rng.getrandbits(n)):
-        assert wordarray.batch_fprm(bl, n, pol) == transform_mod.batch_fprm(
-            bl, n, pol
-        )
-    assert wordarray.batch_mobius(bl, n) == transform_mod.batch_mobius(bl, n)
+        assert wordarray.batch_fprm(bl, n, pol) == [
+            fprm_coefficients(bits, n, pol) for bits in bl
+        ]
+    assert wordarray.batch_mobius(bl, n) == [bitops.mobius(b, n) for b in bl]
     with pytest.raises(ValueError):
         wordarray.batch_fprm(bl, n, 1 << n)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_slab_kernels_match_scalar_every_width(n):
+    # n = 3..16 crosses every slab_h and transform_slab_h step, from the
+    # single 3-bit-chunk slab at n = 3 (no in-slab rounds) to 2**6 slabs.
+    rng = random.Random(1000 + n)
+    bl = cases_for(n, rng, randoms=5 if n < 14 else 2)
+    masks = bitops.axis_masks(n)
+    ref_weights = [
+        tuple(
+            ((bits & m).bit_count(), ((bits >> (1 << i)) & m).bit_count())
+            for i, m in enumerate(masks)
+        )
+        for bits in bl
+    ]
+    keys, weights = wordarray.batch_prekeys(bl, n)
+    assert keys == [coarse_prekey(TruthTable(n, bits)) for bits in bl]
+    assert weights == ref_weights
+    assert wordarray.batch_cofactor_weights(bl, n) == ref_weights
+    pols = [0, (1 << n) - 1, rng.getrandbits(n)]
+    for pol in pols:
+        assert wordarray.batch_fprm(bl, n, pol) == [
+            fprm_coefficients(bits, n, pol) for bits in bl
+        ]
+    assert wordarray.batch_mobius(bl, n) == [bitops.mobius(b, n) for b in bl]
+    assert wordarray.fprm_ladder_weights(bl, n, pols) == [
+        [fprm_coefficients(bits, n, pol).bit_count() for bits in bl]
+        for pol in pols
+    ]
 
 
 @pytest.mark.parametrize("n", (11, 13))
@@ -206,31 +234,11 @@ def test_fprm_ladder_weights_match_scalar(n):
         assert list(step) == expect
 
 
-def test_layout_dispatch():
-    assert kernels.choose_layout(8, 256) == "lanes"
-    assert kernels.choose_layout(wordarray.SLAB_MIN_N, 256) == "words"
-    assert kernels.choose_layout(16, 16) == "words"
-    # Pinned modes; a forced "words" below the slab floor degrades.
-    assert kernels.choose_layout(14, 256, "lanes") == "lanes"
-    assert kernels.choose_layout(8, 256, "words") == "lanes"
-    assert kernels.choose_layout(8, 256, "lanes") == "lanes"
-    # Layout modes still gate on batchability.
-    assert kernels.should_batch(12, 2, "words")
-    assert not kernels.should_batch(12, 1, "words")
-    assert not kernels.should_batch(2, 100, "lanes")
-    rng = random.Random(7)
-    bl = [rng.getrandbits(1 << 12) for _ in range(24)]
-    ref = kernels.coarse_prekeys(bl, 12, "lanes")
-    assert kernels.coarse_prekeys(bl, 12, "words") == ref
-    assert kernels.coarse_prekeys(bl, 12) == ref
-
-
 def test_engine_partitions_identical_across_layouts_large_n():
     # The acceptance bar: identical classify() partitions whether the
-    # coarse pre-keys come from the scalar loop, the flat bigint lanes
-    # or the word-array slabs.  n = 11 is past the slab dispatch floor,
-    # and the npn copies force multi-member classes through the full
-    # canonicalization path.
+    # coarse pre-keys come from the scalar loop or the slab kernels.
+    # n = 11 runs a multi-slab batch, and the npn copies force
+    # multi-member classes through the full canonicalization path.
     rng = random.Random(8)
     n = 11
     base = [TruthTable.random(n, rng) for _ in range(6)]
@@ -244,11 +252,12 @@ def test_engine_partitions_identical_across_layouts_large_n():
             [TruthTable(f.n, f.bits) for f in batch],
             options=EngineOptions(kernel=mode, workers=0),
         )
-        for mode in ("scalar", "lanes", "words")
+        for mode in kernels.KERNEL_MODES
     }
-    assert results["lanes"].members == results["scalar"].members
-    assert results["words"].members == results["scalar"].members
-    assert results["words"].num_classes == len(base)
+    for mode in kernels.KERNEL_MODES:
+        assert results[mode].members == results["scalar"].members
+    assert results["batch"].num_classes == len(base)
+    assert results["batch"].stats.kernel_batched == len(batch)
 
 
 @pytest.mark.parametrize("n", (15, 16))
