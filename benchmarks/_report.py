@@ -11,11 +11,14 @@ the pytest-benchmark statistics in the terminal (and in
 
 from __future__ import annotations
 
+import os
 import pathlib
-from typing import List
+import subprocess
+from typing import List, Optional, Tuple
 
 REPORT_BUFFER: List[str] = []
 RESULTS_FILE = pathlib.Path(__file__).resolve().parent / "results.txt"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def emit(text: str = "") -> None:
@@ -41,3 +44,28 @@ def flush_to(write_line) -> None:
     except OSError:  # pragma: no cover - read-only checkouts
         pass
     REPORT_BUFFER.clear()
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on (not the machine's total)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def git_state() -> Tuple[Optional[str], Optional[bool]]:
+    """``(revision, dirty)`` of the checkout, ``(None, None)`` outside git."""
+
+    def git(*args):
+        try:
+            out = subprocess.run(
+                ["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=30
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    revision = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no") if revision else None
+    return revision, (bool(status) if status is not None else None)

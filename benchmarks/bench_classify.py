@@ -19,7 +19,7 @@ Scenarios:
   ``BENCH_kernels.json`` for the isolated kernel curves).
 * ``workers`` — the repeated-classes batch under 1, 2, and 4 worker
   processes (wall-clock parallel benefit requires free cores; the
-  recorded ``cpu_count`` says what this box could show).
+  recorded ``usable_cores`` says what this box could show).
 * ``cache_rerun`` — the repeated-classes batch classified twice through
   one engine: the second pass must be nearly pure LRU cache hits.
 * ``npn_space_n4`` — all 65536 4-variable functions through the engine
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import random
 import sys
@@ -52,6 +51,8 @@ from repro.testing.workloads import (
     make_random_batch,
     make_repeated_batch,
 )
+
+from _report import git_state, usable_cores
 
 
 def fresh_tables(batch):
@@ -96,10 +97,13 @@ def main(argv=None) -> int:
     size = 512 if args.quick else args.size
     trials = 1 if args.quick else args.trials
     rng = random.Random(args.seed)
+    revision, dirty = git_state()
     report = {
         "benchmark": "bench_classify",
         "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        "usable_cores": usable_cores(),
+        "git_revision": revision,
+        "git_dirty": dirty,
         "batch_size": size,
         "pool_size": POOL_SIZE,
         "n_vars": N_VARS,
@@ -185,7 +189,7 @@ def main(argv=None) -> int:
         print(f"workers={workers}: {t_w:.3f}s")
     report["scenarios"]["workers"] = {
         "seconds": workers_times,
-        "note": "parallel wall-clock gains require free cores; see cpu_count",
+        "note": "parallel wall-clock gains require free cores; see usable_cores",
     }
 
     # -- cache rerun ------------------------------------------------------

@@ -53,10 +53,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import random
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -68,6 +66,8 @@ from repro.engine.prekey import coarse_prekey
 from repro.grm.transform import fprm_coefficients
 from repro.kernels import wordarray
 from repro.utils import bitops
+
+from _report import git_state, usable_cores
 
 ROOT = Path(__file__).resolve().parents[1]
 N_SWEEP = (4, 5, 6, 7, 8, 9, 10)
@@ -259,23 +259,6 @@ def run_guardrail(trials: int, seed: int) -> int:
     return 0
 
 
-def git_state():
-    """``(revision, dirty)`` of the checkout, ``(None, None)`` outside git."""
-
-    def git(*args):
-        try:
-            out = subprocess.run(
-                ["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=30
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return out.stdout.strip() if out.returncode == 0 else None
-
-    revision = git("rev-parse", "HEAD")
-    status = git("status", "--porcelain", "--untracked-files=no") if revision else None
-    return revision, (bool(status) if status is not None else None)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=7)
@@ -302,7 +285,7 @@ def main(argv=None) -> int:
     report = {
         "benchmark": "bench_kernels",
         "python": platform.python_version(),
-        "usable_cores": len(os.sched_getaffinity(0)),
+        "usable_cores": usable_cores(),
         "git_revision": revision,
         "git_dirty": dirty,
         "seed": args.seed,

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import shutil
 import sys
@@ -53,20 +52,14 @@ from repro.benchcircuits.suite import EXTRA_CIRCUITS, TABLE1_CIRCUITS, build_cir
 from repro.engine import ClassificationEngine, EngineOptions
 from repro.store import ClassStore
 
+from _report import usable_cores
+
 GUARDRAIL_CIRCUITS = ["rd73", "z4ml", "f51m", "9sym", "alu2"]
 VERIFY_MAX_INPUTS = 21  # cm150a's exact 21-input mux cone is the widest
 
 
 def registry_names() -> list:
     return [spec.name for spec in TABLE1_CIRCUITS + EXTRA_CIRCUITS]
-
-
-def usable_cores() -> int:
-    """CPUs this process may run on (not the machine's total)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        return os.cpu_count() or 1
 
 
 def build_aigs(names):

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 from repro.boolfunc.transform import NpnTransform, all_transforms
 from repro.boolfunc.truthtable import TruthTable
+from repro.core.errors import InvariantError
 
 
 
@@ -32,7 +33,8 @@ def canonicalize(
         if best_bits is None or bits < best_bits:
             best_bits = bits
             best_t = t
-    assert best_t is not None
+    if best_bits is None or best_t is None:
+        raise InvariantError(f"no transform enumerated for n={f.n}")
     return TruthTable(f.n, best_bits), best_t
 
 

@@ -229,7 +229,8 @@ class TruthTable:
 
     def depends_on(self, i: int) -> bool:
         """True when the function genuinely depends on ``x_i``."""
-        return self.cofactor(i, 0).bits != self.cofactor(i, 1).bits
+        bits = self.bits
+        return ((bits ^ (bits >> (1 << i))) & bitops.axis_mask(self.n, i)) != 0
 
     def support(self) -> int:
         """Bit mask of the variables the function genuinely depends on."""

@@ -50,3 +50,12 @@ class MatchBudgetExceededError(BudgetExceededError):
 
 class CanonicalizationBudgetError(BudgetExceededError):
     """Candidate-ordering enumeration exceeded the canonicalization cap."""
+
+
+class InvariantError(AssertionError):
+    """An internal invariant failed.
+
+    Raised explicitly where an ``assert`` used to stand, so the check
+    survives ``python -O``; an ``AssertionError`` so that handlers for
+    budget overruns (``RuntimeError``) never swallow it.
+    """

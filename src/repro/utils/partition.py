@@ -36,6 +36,9 @@ class Partition:
         new_blocks: List[Tuple[int, ...]] = []
         changed = False
         for block in self.blocks:
+            if len(block) == 1:  # a singleton cannot split
+                new_blocks.append(block)
+                continue
             groups: dict = {}
             for v in block:
                 groups.setdefault(key(v), []).append(v)
@@ -50,7 +53,7 @@ class Partition:
 
     def is_discrete(self) -> bool:
         """True when every block is a singleton (all variables differentiated)."""
-        return all(len(b) == 1 for b in self.blocks)
+        return len(self.blocks) == self.n  # blocks are non-empty and disjoint
 
     def block_sizes(self) -> List[int]:
         """Sizes of the blocks, in partition order."""

@@ -9,6 +9,7 @@ from repro.baselines import exhaustive, naive_symmetry, signature_matcher
 from repro.boolfunc.transform import NpnTransform, random_equivalent_pair
 from repro.boolfunc.truthtable import TruthTable
 from repro.core import symmetry as sym
+from repro.core.errors import InvariantError
 from repro.core.matcher import match
 from tests.conftest import truth_tables
 
@@ -30,6 +31,12 @@ def test_exhaustive_canonical_transform_reaches_canonical():
     f = TruthTable.from_minterms(3, [1, 2, 4])
     canon, t = exhaustive.canonicalize(f)
     assert t.apply(f) == canon
+
+
+def test_exhaustive_without_transforms_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(exhaustive, "all_transforms", lambda n, **kw: iter(()))
+    with pytest.raises(InvariantError):
+        exhaustive.canonicalize(TruthTable.var(2, 0))
 
 
 def test_exhaustive_class_counts():
