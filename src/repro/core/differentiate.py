@@ -121,7 +121,7 @@ def differentiate_output(
     grm = Grm.from_truthtable(f, decision.polarity)
     grms_used += 1
     sigs_mod.refine_partition_with_grm(
-        part, f, grm, use_incidence=(mode == "enhanced")
+        part, f, lambda: grm, use_incidence=(mode == "enhanced")
     )
     if part.is_discrete():
         return _finish(f, part, "grm", grms_used, used_linear)
@@ -139,7 +139,9 @@ def differentiate_output(
                 break
             extra = Grm.from_truthtable(f, polarity)
             grms_used += 1
-            sigs_mod.refine_partition_with_grm(part, f, extra, use_incidence=True)
+            sigs_mod.refine_partition_with_grm(
+                part, f, lambda: extra, use_incidence=True
+            )
             if part.is_discrete() or _all_blocks_symmetric(f, part):
                 return _finish(f, part, "extra-grms", grms_used, used_linear)
     else:
